@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "sparse/ilu0.hpp"
 #include "sparse/refresh.hpp"
 #include "sparse/solver.hpp"
 
@@ -184,22 +185,33 @@ class BatchedJacobiPreconditioner final : public BatchedPreconditioner {
   mutable int cwidth_ = 0;
 };
 
-/// Lane-interleaved ILU(0): factors on the shared pattern, triangular
-/// solves batched across lanes (the row-sequential dependency is within
-/// a lane; lanes are independent, so each row's update runs lane-wide).
+/// Lane-interleaved ILU(0): the scalar Ilu0Preconditioner's scheduled
+/// elimination and substitution (ilu0.hpp) at K lanes. Every row's
+/// update runs lane-wide in the scalar solver's exact entry order per
+/// lane.
 class BatchedIlu0Preconditioner final : public BatchedPreconditioner {
  public:
-  explicit BatchedIlu0Preconditioner(const BatchedCsr& a);
+  /// \p structure optionally supplies the shared schedule of \p a's
+  /// pattern (see StructureCache); without it the schedule is built here.
+  explicit BatchedIlu0Preconditioner(
+      const BatchedCsr& a, const SymbolicStructure* structure = nullptr);
   void apply(std::span<const double> r, std::span<double> z) const override;
   void refactor_lane(int lane, const BatchedCsr& a) override;
   void compact_lanes(std::span<const int> lanes) const override;
   void apply_compacted(const double* r, double* z) const override;
 
+  /// Interleaved factor values, slot s of lane l at [s*lanes + l].
+  std::span<const double> factor_values() const { return lu_; }
+
+  /// The dependency schedule the factors are laid out in.
+  const std::shared_ptr<const IluSchedule>& schedule() const {
+    return schedule_;
+  }
+
  private:
   int lanes_;
-  std::int32_t rows_;
-  std::vector<std::int32_t> row_ptr_, col_idx_, diag_;
-  std::vector<double> lu_;  ///< interleaved factors [k*lanes + lane]
+  std::shared_ptr<const IluSchedule> schedule_;
+  std::vector<double> lu_;  ///< interleaved factors [slot*lanes + lane]
   mutable std::vector<double> clu_;  ///< compacted-view scratch
   mutable int cwidth_ = 0;
 };
@@ -243,8 +255,10 @@ class BatchedBicgstabSolver {
  public:
   /// \p kind selects the preconditioner (kBicgstabIlu0 or
   /// kBicgstabJacobi; anything else throws). Factors are built from the
-  /// lane values currently loaded in \p a.
-  BatchedBicgstabSolver(SolverKind kind, const BatchedCsr& a);
+  /// lane values currently loaded in \p a. A non-null \p structure
+  /// supplies the shared symbolic analysis of \p a's pattern.
+  BatchedBicgstabSolver(SolverKind kind, const BatchedCsr& a,
+                        const SymbolicStructure* structure = nullptr);
 
   int lanes() const { return static_cast<int>(lanes_.size()); }
 

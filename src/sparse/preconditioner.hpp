@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "sparse/ilu0.hpp"
 
 namespace tac3d::sparse {
 
@@ -54,10 +55,12 @@ class JacobiPreconditioner final : public Preconditioner {
 
 /// Zero-fill incomplete LU factorization; the factors live on the
 /// sparsity pattern of A. Stable for the diagonally dominant RC systems.
+/// Elimination and substitution run from the pattern's dependency
+/// schedule (ilu0.hpp) as its one-lane case.
 class Ilu0Preconditioner final : public Preconditioner {
  public:
-  /// \p structure optionally supplies the precomputed diagonal index map
-  /// (see StructureCache); without it the pattern is scanned here.
+  /// \p structure optionally supplies the shared schedule of A's pattern
+  /// (see StructureCache); without it the schedule is built here.
   explicit Ilu0Preconditioner(const CsrMatrix& a,
                               const SymbolicStructure* structure = nullptr);
 
@@ -67,16 +70,21 @@ class Ilu0Preconditioner final : public Preconditioner {
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
-  /// The current factor values (A's pattern order). Exposed so the
+  /// The current factor values (schedule slot order). Exposed so the
   /// solver facade can fold possibly-stale factors into a replay
   /// fingerprint (LinearSolver::fold_replay_state) — unlike Jacobi, the
   /// ILU(0) factors are deliberately left stale under lazy refresh and
   /// therefore carry history.
-  std::span<const double> factor_values() const { return lu_.values(); }
+  std::span<const double> factor_values() const { return lu_; }
+
+  /// The dependency schedule the factors are laid out in.
+  const std::shared_ptr<const IluSchedule>& schedule() const {
+    return schedule_;
+  }
 
  private:
-  CsrMatrix lu_;                     ///< combined factors on A's pattern
-  std::vector<std::int32_t> diag_;   ///< index of diagonal entry per row
+  std::shared_ptr<const IluSchedule> schedule_;
+  std::vector<double> lu_;              ///< factors, one per schedule slot
 };
 
 }  // namespace tac3d::sparse

@@ -30,10 +30,13 @@ std::uint64_t pattern_hash(const CsrMatrix& a) {
 }  // namespace
 
 bool SymbolicStructure::matches(const CsrMatrix& a) const {
-  return a.rows() == rows && a.cols() == rows &&
-         static_cast<std::size_t>(a.nnz()) == col_idx.size() &&
-         std::equal(row_ptr.begin(), row_ptr.end(), a.row_ptr().begin()) &&
-         std::equal(col_idx.begin(), col_idx.end(), a.col_idx().begin());
+  return a.rows() == a.cols() && matches(a.row_ptr(), a.col_idx());
+}
+
+bool SymbolicStructure::matches(std::span<const std::int32_t> rp,
+                                std::span<const std::int32_t> ci) const {
+  return std::equal(row_ptr.begin(), row_ptr.end(), rp.begin(), rp.end()) &&
+         std::equal(col_idx.begin(), col_idx.end(), ci.begin(), ci.end());
 }
 
 std::shared_ptr<const SymbolicStructure> analyze_structure(
@@ -61,13 +64,7 @@ std::shared_ptr<const SymbolicStructure> analyze_structure(
     }
   }
 
-  // Diagonal entry index per row (ILU(0) pivot map).
-  s->ilu_diag.assign(static_cast<std::size_t>(n), -1);
-  for (std::int32_t r = 0; r < n; ++r) {
-    for (std::int32_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) s->ilu_diag[r] = k;
-    }
-  }
+  s->ilu_schedule = build_ilu_schedule(n, rp, ci);
   return s;
 }
 

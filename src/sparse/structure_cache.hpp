@@ -6,7 +6,7 @@
 /// A design-space sweep instantiates one RC model per scenario, but
 /// scenarios with the same stack geometry produce bit-identical CSR
 /// patterns. The expensive symbolic work — RCM ordering, banded-LU band
-/// extents, the ILU(0) diagonal index map — depends only on the pattern,
+/// extents, the ILU(0) dependency schedule — depends only on the pattern,
 /// so a StructureCache computes it once and hands out a shared immutable
 /// SymbolicStructure to every solver. Symbolic analysis is a pure
 /// function of the pattern, so a solver built from a cached structure is
@@ -16,10 +16,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "sparse/csr.hpp"
+#include "sparse/ilu0.hpp"
 
 namespace tac3d::sparse {
 
@@ -33,14 +35,18 @@ struct SymbolicStructure {
   /// Band extents of the RCM-permuted pattern (banded LU storage).
   std::int32_t band_lower = 0;
   std::int32_t band_upper = 0;
-  /// Index into values() of the diagonal entry of each row (ILU(0)).
-  std::vector<std::int32_t> ilu_diag;
+  /// ILU(0) dependency schedule (see ilu0.hpp); null when some row has
+  /// no stored diagonal.
+  std::shared_ptr<const IluSchedule> ilu_schedule;
   /// Pattern copy for exact identity checks on hash-bucket collisions.
   std::vector<std::int32_t> row_ptr;
   std::vector<std::int32_t> col_idx;
 
   /// True if \p a has exactly this sparsity pattern.
   bool matches(const CsrMatrix& a) const;
+  /// True if the square pattern (row_ptr, col_idx) is exactly this one.
+  bool matches(std::span<const std::int32_t> row_ptr,
+               std::span<const std::int32_t> col_idx) const;
 };
 
 /// Run the symbolic analysis of \p a directly (no cache).

@@ -34,6 +34,14 @@ const sparse::BatchedCsr& load_all_lanes(
   return a;
 }
 
+/// Lane 0's shared symbolic structure, so the batched ILU(0) runs from
+/// the same schedule object as the lanes' scalar solvers.
+std::shared_ptr<const sparse::SymbolicStructure> structure_of(
+    const std::vector<BatchedTransientSolver::LaneSpec>& lanes) {
+  sparse::StructureCache* cache = lanes.front().solver->structure_cache();
+  return cache != nullptr ? cache->get(pattern_of(lanes)) : nullptr;
+}
+
 }  // namespace
 
 bool BatchedTransientSolver::compatible(const TransientSolver& a,
@@ -50,7 +58,7 @@ bool BatchedTransientSolver::compatible(const TransientSolver& a,
 BatchedTransientSolver::BatchedTransientSolver(
     sparse::SolverKind kind, const std::vector<LaneSpec>& lanes)
     : a_(pattern_of(lanes), static_cast<int>(lanes.size())),
-      solver_(kind, load_all_lanes(a_, lanes)) {
+      solver_(kind, load_all_lanes(a_, lanes), structure_of(lanes).get()) {
   const int L = static_cast<int>(lanes.size());
   lanes_.reserve(lanes.size());
   for (int l = 0; l < L; ++l) {

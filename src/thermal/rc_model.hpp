@@ -168,6 +168,18 @@ class RcModel {
       sparse::SolverKind kind = sparse::SolverKind::kBicgstabIlu0,
       sparse::StructureCache* cache = nullptr) const;
 
+  /// A solver bound to the conductance matrix, for repeated steady
+  /// solves while only the power changes (a flow change invalidates it).
+  /// Must not outlive this model.
+  std::unique_ptr<sparse::LinearSolver> make_steady_solver(
+      sparse::SolverKind kind = sparse::SolverKind::kBicgstabIlu0,
+      sparse::StructureCache* cache = nullptr) const;
+
+  /// Steady-state temperatures [K] for the current power through a
+  /// solver from make_steady_solver(); bitwise equal to the one-shot
+  /// overload (same cold start, same factors).
+  std::vector<double> steady_state(sparse::LinearSolver& solver) const;
+
   // --- sensors / diagnostics -------------------------------------------
   /// Power-weighted maximum cell temperature of an element [K].
   double element_max(std::span<const double> temps, int element) const;

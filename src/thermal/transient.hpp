@@ -208,6 +208,10 @@ class TransientSolver {
   /// Relative residual tolerance of the per-step linear solves.
   double rel_tolerance() const { return rel_tolerance_; }
 
+  /// The shared symbolic-structure cache this solver binds through
+  /// (null when it analyzes its own pattern).
+  sparse::StructureCache* structure_cache() const { return cache_; }
+
   /// Flow-change steps whose warm start came from an exact transition-
   /// cache match.
   std::uint64_t predictor_hits() const { return predictor_hits_; }

@@ -214,5 +214,31 @@ TEST(LeakageFixedPoint, ConvergesAndIsHotterThanLeakageFree) {
   EXPECT_GT(p8, p_ref + 2.0);
 }
 
+TEST(LeakageFixedPoint, OneBoundSolverMatchesAFreshSolverPerIteration) {
+  // Only the power RHS moves between fixed-point iterations, so the one
+  // solver bound for the whole loop must reproduce, bit for bit, a loop
+  // that builds a new solver (factorization and workspace) every time.
+  for (const auto cooling :
+       {arch::CoolingKind::kAirCooled, arch::CoolingKind::kLiquidCooled}) {
+    arch::Mpsoc3D soc(arch::Mpsoc3D::Options{
+        2, cooling, thermal::GridOptions{12, 12}, arch::NiagaraConfig::paper()});
+    if (cooling == arch::CoolingKind::kLiquidCooled) {
+      soc.model().set_all_flows(microchannel::PumpModel::table1().q_max());
+    }
+    std::vector<arch::CoreState> cores(8, {0.8, soc.chip().vf.max_level()});
+    std::vector<double> ref(soc.model().node_count(),
+                            soc.model().grid().spec().ambient);
+    for (int i = 0; i < 4; ++i) {
+      soc.model().set_element_powers(soc.element_powers(cores, ref));
+      ref = soc.model().steady_state(sparse::SolverKind::kBicgstabIlu0);
+    }
+    const auto got = soc.leakage_consistent_steady(cores, 4);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], ref[i]) << "node " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tac3d

@@ -28,6 +28,7 @@
 #include "sim/bank.hpp"
 #include "sim/batch.hpp"
 #include "sim/experiment.hpp"
+#include "sparse/batched.hpp"
 #include "thermal/operator.hpp"
 #include "thermal/transient.hpp"
 
@@ -140,6 +141,58 @@ TEST_P(TransientAllocTest, StepIsAllocationFreeAcrossFlowChanges) {
   const long long allocs = AllocCounter::stop();
   EXPECT_EQ(allocs, 0)
       << "flow update + refactor + step must not allocate";
+}
+
+TEST(TransientAllocIlu0, FlowChangeRefactorIsAllocationFree) {
+#if !TAC3D_ALLOC_HOOK
+  GTEST_SKIP() << "allocation hook disabled under sanitizers";
+#endif
+  auto soc = make_soc();
+  auto pump = microchannel::PumpModel::table1();
+  soc.model().set_all_flows(pump.q_max());
+  load_power(soc);
+  thermal::TransientSolver::Options opts;
+  opts.kind = sparse::SolverKind::kBicgstabIlu0;
+  opts.refresh = sparse::RefreshPolicy::eager();  // refactor on every change
+  thermal::TransientSolver sim(soc.model(), 0.25, opts);
+  sim.initialize_steady();
+  sim.step();
+
+  const std::uint64_t refactors = sim.solver_stats().refactors;
+  AllocCounter::start();
+  for (int i = 0; i < 10; ++i) {
+    soc.model().set_all_flows(pump.flow_per_cavity(i % pump.levels()));
+    sim.step();
+  }
+  const long long allocs = AllocCounter::stop();
+  EXPECT_GT(sim.solver_stats().refactors, refactors)
+      << "the counted window must include ILU(0) refactors";
+  EXPECT_EQ(allocs, 0) << "the scheduled ILU(0) refactor must not allocate";
+}
+
+TEST(BatchedIlu0Alloc, RefactorLaneAndApplyAreAllocationFree) {
+#if !TAC3D_ALLOC_HOOK
+  GTEST_SKIP() << "allocation hook disabled under sanitizers";
+#endif
+  auto soc = make_soc();
+  soc.model().set_all_flows(microchannel::PumpModel::table1().q_max());
+  const thermal::TransientSolver sim(soc.model(), 0.25);
+  const sparse::CsrMatrix& m = sim.system_operator().matrix();
+  const int lanes = 3;
+  sparse::BatchedCsr a(m, lanes);
+  sparse::BatchedIlu0Preconditioner precond(a);
+  const std::size_t total = static_cast<std::size_t>(m.rows()) * lanes;
+  std::vector<double> r(total, 1.0), z(total, 0.0);
+  const int keep[] = {2, 0};
+
+  AllocCounter::start();
+  for (int l = 0; l < lanes; ++l) precond.refactor_lane(l, a);
+  precond.apply(r, z);
+  precond.compact_lanes(keep);
+  precond.apply_compacted(r.data(), z.data());
+  const long long allocs = AllocCounter::stop();
+  EXPECT_EQ(allocs, 0)
+      << "batched ILU(0) refactor_lane / apply / compaction must not allocate";
 }
 
 INSTANTIATE_TEST_SUITE_P(
