@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <span>
 
@@ -87,10 +86,12 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
     }
   }
 
-  // Batch the thermal solves when every live lane runs the same
-  // iterative solver kind on the same sparsity pattern; otherwise fall
-  // back to scalar lockstep (bitwise the same results, one solve at a
-  // time). The sweep runner groups scenarios so this normally holds.
+  // Batch the thermal solves and fuse the control tail when every live
+  // lane runs the same iterative solver kind on the same sparsity
+  // pattern and the same floorplan (core sensors included); otherwise
+  // fall back to scalar lockstep (bitwise the same results, one lane at
+  // a time). The sweep runner groups scenarios by bank model key, so
+  // this normally holds.
   std::vector<int> live;
   for (std::size_t l = 0; l < n; ++l) {
     if (sessions_[l].has_value()) live.push_back(static_cast<int>(l));
@@ -108,19 +109,25 @@ BatchSession::BatchSession(std::vector<PreparedScenario> prepared)
       kind != sparse::SolverKind::kBicgstabJacobi) {
     return;
   }
-  thermal::TransientSolver& first =
-      sessions_[static_cast<std::size_t>(live.front())]->thermal_solver();
+  SimulationSession& s0 = *sessions_[static_cast<std::size_t>(live.front())];
+  const arch::Mpsoc3D& soc0 = s0.soc();
+  const std::span<const int> cores0 = soc0.core_element_ids();
   std::vector<thermal::BatchedTransientSolver::LaneSpec> specs;
   specs.reserve(n);
   for (const int l : live) {
     PreparedScenario& p = prepared_[static_cast<std::size_t>(l)];
-    thermal::TransientSolver& ts =
-        sessions_[static_cast<std::size_t>(l)]->thermal_solver();
+    SimulationSession& s = *sessions_[static_cast<std::size_t>(l)];
+    const std::span<const int> cores = s.soc().core_element_ids();
     if (p.sim.solver != kind ||
-        !thermal::BatchedTransientSolver::compatible(first, ts)) {
+        !thermal::BatchedTransientSolver::compatible(s0.thermal_solver(),
+                                                     s.thermal_solver()) ||
+        s.soc().n_cores() != soc0.n_cores() ||
+        !std::equal(cores.begin(), cores.end(), cores0.begin(),
+                    cores0.end()) ||
+        !same_floorplan(soc0.model().grid(), s.soc().model().grid())) {
       return;  // heterogeneous batch — scalar fallback
     }
-    specs.push_back({&ts, p.sim.refresh});
+    specs.push_back({&s.thermal_solver(), p.sim.refresh});
   }
   // Lane indices in the batched solver == indices into `live`.
   lane_of_ = std::move(live);
@@ -138,28 +145,14 @@ BatchSession::~BatchSession() = default;
 BatchSession::BatchSession(BatchSession&&) noexcept = default;
 
 void BatchSession::build_tail_plan() {
-  // A/B escape hatch: with TAC3D_SCALAR_TAIL set, batches keep the
-  // batched thermal solves but run the per-lane scalar control tail —
-  // for benchmarking the fused tail against its baseline on one host.
-  if (std::getenv("TAC3D_SCALAR_TAIL") != nullptr) return;
+  static_assert(sparse::kMaxBatchLanes <= power::kMaxPowerLanes,
+                "every batched lane must fit the fused power kernels");
   const int L = batched_->lanes();
-  if (L > power::kMaxPowerLanes) return;
-  SimulationSession& s0 =
-      *sessions_[static_cast<std::size_t>(lane_of_.front())];
-  const arch::Mpsoc3D& soc0 = s0.soc();
+  // The constructor verified that every lane shares lane 0's floorplan.
+  const arch::Mpsoc3D& soc0 =
+      sessions_[static_cast<std::size_t>(lane_of_.front())]->soc();
   const thermal::ThermalGrid& g0 = soc0.model().grid();
   const std::span<const int> cores0 = soc0.core_element_ids();
-  for (int b = 1; b < L; ++b) {
-    const arch::Mpsoc3D& soc =
-        sessions_[static_cast<std::size_t>(lane_of_[b])]->soc();
-    const std::span<const int> cores = soc.core_element_ids();
-    if (soc.n_cores() != soc0.n_cores() ||
-        !std::equal(cores.begin(), cores.end(), cores0.begin(),
-                    cores0.end()) ||
-        !same_floorplan(g0, soc.model().grid())) {
-      return;  // mismatched floorplans — per-lane tail, batched solves
-    }
-  }
 
   auto plan = std::make_unique<TailPlan>();
   plan->geom.cell_offset.push_back(0);
@@ -259,67 +252,7 @@ void BatchSession::step() {
     }
     return;
   }
-  if (tail_ != nullptr) {
-    step_batched_fused();
-  } else {
-    step_batched_scalar_tail();
-  }
-}
-
-/// Batched thermal solves, per-lane (scalar) control tail — the path
-/// for batches whose lanes share a matrix pattern but not a floorplan.
-void BatchSession::step_batched_scalar_tail() {
-  const auto t0 = std::chrono::steady_clock::now();
-  const int L = batched_->lanes();
-  std::fill(stepping_.begin(), stepping_.end(), std::uint8_t{0});
-  for (int b = 0; b < L; ++b) {
-    const std::size_t l = static_cast<std::size_t>(lane_of_[b]);
-    if (!errors_[l].empty() || sessions_[l]->done()) continue;
-    try {
-      // Replaying lanes drop out of the batched solve: a fast-forwarded
-      // lane leaves its stepping mask 0 for this lockstep interval.
-      if (sessions_[l]->replay_fast_forward() > 0) continue;
-      if (sessions_[l]->step_prepare()) {
-        stepping_[static_cast<std::size_t>(b)] = 1;
-      }
-    } catch (const std::exception& e) {
-      errors_[l] = e.what();
-    } catch (...) {
-      errors_[l] = "unknown error";
-    }
-  }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  {
-    obs::TraceSpan solve_span("batch/solve");
-    batched_->step_all(
-        std::span<const std::uint8_t>(stepping_.data(),
-                                      static_cast<std::size_t>(L)),
-        std::span<std::uint8_t>(failed_.data(), static_cast<std::size_t>(L)));
-  }
-  const auto t2 = std::chrono::steady_clock::now();
-
-  for (int b = 0; b < L; ++b) {
-    if (!stepping_[static_cast<std::size_t>(b)]) continue;
-    const std::size_t l = static_cast<std::size_t>(lane_of_[b]);
-    if (failed_[static_cast<std::size_t>(b)]) {
-      // A thrown lane keeps its exception text; plain non-convergence
-      // mirrors the scalar path's NumericalError message.
-      const std::string& what = batched_->lane_error(b);
-      errors_[l] = what.empty() ? "BicgstabSolver: failed to converge" : what;
-      continue;
-    }
-    try {
-      sessions_[l]->step_finish();
-    } catch (const std::exception& e) {
-      errors_[l] = e.what();
-    } catch (...) {
-      errors_[l] = "unknown error";
-    }
-  }
-  const auto t3 = std::chrono::steady_clock::now();
-  tail_seconds_ += seconds_between(t0, t1) + seconds_between(t2, t3);
-  solve_seconds_ += seconds_between(t1, t2);
+  step_batched_fused();
 }
 
 /// The lane-fused control tail: stage-by-stage over the batch instead

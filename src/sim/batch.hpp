@@ -11,21 +11,20 @@
 /// both faster and bitwise-neutral per lane).
 ///
 /// The per-step control tail (sensor gathers, policy decisions, the
-/// power/leakage update, metrics) is fused the same way: when every
-/// batched lane also shares the floorplan geometry, the leakage +
-/// RHS-scatter traversals and the core-temperature gathers run
-/// lane-fused over the shared element->cell weights
-/// (power/batched_power.hpp), and same-class fuzzy policies share one
-/// FuzzyController::evaluate_lanes inference per step. Each lane's
-/// floating-point chain is the scalar chain, so per-lane results stay
-/// bitwise identical.
+/// power/leakage update, metrics) is fused the same way: batched lanes
+/// also share the floorplan geometry, so the leakage + RHS-scatter
+/// traversals and the core-temperature gathers run lane-fused over the
+/// shared element->cell weights (power/batched_power.hpp), and
+/// same-class fuzzy policies share one FuzzyController::evaluate_lanes
+/// inference per step. Each lane's floating-point chain is the scalar
+/// chain, so per-lane results stay bitwise identical.
 ///
 /// Lanes are isolated: a lane whose construction, policy loop or linear
 /// solve throws is recorded (lane_error) and deactivated; the remaining
 /// lanes keep stepping to completion. Lanes that cannot batch (direct
-/// solver, mismatched pattern or kind, or a single lane) fall back to
-/// per-lane scalar stepping — still lockstep, still the exact scalar
-/// arithmetic.
+/// solver, mismatched pattern, kind or floorplan, or a single lane)
+/// fall back to per-lane scalar stepping — still lockstep, still the
+/// exact scalar arithmetic.
 
 #include <cstdint>
 #include <memory>
@@ -52,14 +51,9 @@ class BatchSession {
 
   int lanes() const { return static_cast<int>(prepared_.size()); }
 
-  /// Did the thermal solves batch (false: scalar-fallback lockstep)?
+  /// Did the thermal solves batch and the control tail fuse across
+  /// lanes (false: scalar-fallback lockstep)?
   bool thermal_batched() const { return batched_ != nullptr; }
-
-  /// Did the control tail fuse across lanes (requires thermal_batched()
-  /// plus a shared floorplan geometry)? Setting the TAC3D_SCALAR_TAIL
-  /// environment variable forces this off (per-lane scalar tail) for
-  /// same-host A/B benchmarking.
-  bool tail_fused() const { return tail_ != nullptr; }
 
   /// Wall-clock seconds spent in the control tail and in the thermal
   /// solves across all lanes (batch-level stages plus any per-lane
@@ -116,7 +110,6 @@ class BatchSession {
 
   void build_tail_plan();
   void step_batched_fused();
-  void step_batched_scalar_tail();
 
   std::vector<PreparedScenario> prepared_;
   std::vector<std::optional<SimulationSession>> sessions_;

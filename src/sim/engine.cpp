@@ -132,13 +132,14 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
   }
   soc_.model().set_element_powers(init->element_powers);
 
-  thermal_ = std::make_unique<thermal::TransientSolver>(
-      soc_.model(), cfg_.control_dt,
-      thermal::TransientSolver::Options{cfg_.solver,
-                                        cfg_.structure_cache.get(),
-                                        cfg_.refresh, cfg_.warm_start_slots,
-                                        cfg_.operator_prototype.get(),
-                                        cfg_.solver_tolerance});
+  thermal::TransientSolver::Options topts;
+  topts.kind = cfg_.solver;
+  topts.cache = cfg_.structure_cache.get();
+  topts.refresh = cfg_.refresh;
+  topts.operator_prototype = cfg_.operator_prototype.get();
+  topts.rel_tolerance = cfg_.solver_tolerance;
+  thermal_ = std::make_unique<thermal::TransientSolver>(soc_.model(),
+                                                        cfg_.control_dt, topts);
   thermal_->set_state(init->temperatures);
 
   m_.core_hot_time.assign(n_cores_, 0.0);
@@ -178,31 +179,22 @@ SimulationSession::SimulationSession(SimulationSession&&) noexcept = default;
 
 void SimulationSession::step() {
   const auto t0 = std::chrono::steady_clock::now();
-  if (!step_prepare()) return;
-  const auto t1 = std::chrono::steady_clock::now();
-  thermal_->step();
-  const auto t2 = std::chrono::steady_clock::now();
-  step_finish();
-  const auto t3 = std::chrono::steady_clock::now();
-  tail_seconds_ += seconds_between(t0, t1) + seconds_between(t2, t3);
-  solve_seconds_ += seconds_between(t1, t2);
-}
-
-bool SimulationSession::step_prepare() {
-  if (!tail_begin()) return false;
-  // The step_finish() of the previous interval already sensed the
+  if (!tail_begin()) return;
+  // The post-solve gather of the previous interval already sensed the
   // current field (it does not change between steps), so the gather is
   // only needed on the very first interval.
   if (!sensed_fresh_) sense_current();
   tail_decide();
   tail_apply();
   tail_power();
-  return true;
-}
-
-void SimulationSession::step_finish() {
+  const auto t1 = std::chrono::steady_clock::now();
+  thermal_->step();
+  const auto t2 = std::chrono::steady_clock::now();
   sense_current();
   finish_metrics();
+  const auto t3 = std::chrono::steady_clock::now();
+  tail_seconds_ += seconds_between(t0, t1) + seconds_between(t2, t3);
+  solve_seconds_ += seconds_between(t1, t2);
 }
 
 bool SimulationSession::tail_begin() {
@@ -255,7 +247,7 @@ void SimulationSession::tail_apply() {
 
 void SimulationSession::tail_power() {
   // 4. Power (leakage from the current temperature field); the thermal
-  //    step itself runs between step_prepare and step_finish.
+  //    step itself runs between tail_power() and the post-solve gather.
   tail_power_dynamic();
   soc_.add_leakage_into(thermal_->temperatures(),
                         soc_.model().element_powers_writable());

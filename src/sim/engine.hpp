@@ -67,9 +67,6 @@ struct SimulationConfig {
   /// Staleness policy for factorization/preconditioner refreshes after
   /// the policy loop changes the coolant flow (see sparse/refresh.hpp).
   sparse::RefreshPolicy refresh;
-  /// Flow-transition warm-start slots of the transient solver (0
-  /// disables the predictor).
-  int warm_start_slots = 16;
   /// Optional symbolic-structure cache shared between sessions (the
   /// sweep runner injects one so same-geometry scenarios reuse the RCM
   /// ordering and ILU/banded symbolic analysis). Null = private
@@ -129,22 +126,10 @@ class SimulationSession {
   /// Advance one control interval. No-op once done().
   void step();
 
-  /// Lockstep phase API (used by BatchSession to batch the thermal
-  /// solve across sessions): step() is exactly
-  ///   step_prepare() + thermal_solver().step() + step_finish().
-  /// step_prepare() runs load balancing, the policy decision, the
-  /// execution/power model and leaves the thermal solver ready to
-  /// advance (false = already done(), nothing to step); after the
-  /// thermal step — scalar or one lane of a thermal::
-  /// BatchedTransientSolver — step_finish() accumulates the metrics and
-  /// commits the interval. Callers must pair them exactly.
-  bool step_prepare();
-  void step_finish();
-
-  /// Control-tail stages: step_prepare() is exactly
+  /// Control-tail stages: step() is exactly
   ///   tail_begin() + (sense_current() unless sensed_fresh())
   ///   + tail_decide() + tail_apply() + tail_power()
-  /// and step_finish() is sense_current() + finish_metrics().
+  ///   + thermal_solver().step() + sense_current() + finish_metrics().
   /// BatchSession drives the stages individually so the sensor gather,
   /// the fuzzy-policy inference and the power/leakage update can each
   /// run lane-fused across a whole batch (see power/batched_power.hpp);
@@ -154,9 +139,9 @@ class SimulationSession {
   /// policy_inputs() (false = already done()).
   bool tail_begin();
   /// Gather the per-core temperature sensors from the current field
-  /// into policy_inputs() and mark them fresh. step_finish() senses the
+  /// into policy_inputs() and mark them fresh. step() senses the
   /// post-solve field for the metrics; the field does not change again
-  /// before the next step_prepare(), so that gather doubles as the next
+  /// before the next interval, so that gather doubles as the next
   /// interval's policy input (sensed_fresh() says it is still valid).
   void sense_current();
   bool sensed_fresh() const { return sensed_fresh_; }
@@ -182,16 +167,16 @@ class SimulationSession {
   control::PolicyActions& policy_actions() { return act_; }
   control::ThermalPolicy& policy() { return policy_; }
 
-  /// Wall-clock seconds step() spent in the control tail (prepare +
-  /// finish) and in the thermal solve, accumulated over the run. Only
-  /// step() itself is instrumented; callers driving the lockstep
-  /// phase API (BatchSession) time their own stages.
+  /// Wall-clock seconds step() spent in the control tail and in the
+  /// thermal solve, accumulated over the run. Only step() itself is
+  /// instrumented; callers driving the tail stages individually
+  /// (BatchSession) time their own stages.
   double tail_seconds() const { return tail_seconds_; }
   double solve_seconds() const { return solve_seconds_; }
 
   /// The transient thermal solver this session steps (the lane handle a
-  /// BatchedTransientSolver drives between step_prepare and
-  /// step_finish).
+  /// BatchedTransientSolver drives between tail_power() and the
+  /// post-solve sensor gather).
   thermal::TransientSolver& thermal_solver() { return *thermal_; }
   const thermal::TransientSolver& thermal_solver() const { return *thermal_; }
 

@@ -419,8 +419,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     static obs::Counter fcache("solver/factor_cache_hits");
     static obs::Counter retries("solver/retries");
     static obs::Counter pred("predictor/hits");
-    static obs::Counter pred_interp("predictor/interp_hits");
-    static obs::Counter pred_fluid("predictor/fluid_hits");
     static obs::Counter traj("predictor/trajectory_hits");
     static obs::Counter replay_cycles("replay/cycles");
     static obs::Counter replay_steps("replay/steps_replayed");
@@ -439,8 +437,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     retries.add(st.retries);
     const thermal::TransientSolver& t = s.thermal_solver();
     pred.add(t.predictor_hits());
-    pred_interp.add(t.predictor_interpolations());
-    pred_fluid.add(t.predictor_fluid_jumps());
     traj.add(t.trajectory_hits());
   };
 

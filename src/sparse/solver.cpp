@@ -9,7 +9,6 @@
 #include "sparse/banded_lu.hpp"
 #include "sparse/iterative.hpp"
 #include "sparse/preconditioner.hpp"
-#include "sparse/rcm.hpp"
 
 namespace tac3d::sparse {
 
@@ -31,13 +30,9 @@ namespace {
 class BandedLuSolver final : public LinearSolver {
  public:
   BandedLuSolver(const CsrMatrix& a,
-                 std::shared_ptr<const SymbolicStructure> structure,
-                 std::span<const std::int32_t> flow_tail_rows)
-      : structure_(flow_tail_rows.empty() ? std::move(structure) : nullptr),
-        lu_(flow_tail_rows.empty()
-                ? BandedLu(a, structure_.get())
-                : BandedLu(a, rcm_ordering_constrained(a, flow_tail_rows))),
-        flow_tail_(!flow_tail_rows.empty()),
+                 std::shared_ptr<const SymbolicStructure> structure)
+      : structure_(std::move(structure)),
+        lu_(a, structure_.get()),
         nnz_(a.nnz()) {
     tracked_mask_.assign(static_cast<std::size_t>(a.rows()), 0);
     tracked_rows_.reserve(static_cast<std::size_t>(a.rows()));
@@ -163,9 +158,7 @@ class BandedLuSolver final : public LinearSolver {
     return true;
   }
 
-  const char* name() const override {
-    return flow_tail_ ? "banded-lu(rcm-flow-tail)" : "banded-lu(rcm)";
-  }
+  const char* name() const override { return "banded-lu(rcm)"; }
 
  private:
   struct Slot {
@@ -202,7 +195,6 @@ class BandedLuSolver final : public LinearSolver {
 
   std::shared_ptr<const SymbolicStructure> structure_;
   BandedLu lu_;  ///< the factorization when the slot cache is disabled
-  bool flow_tail_ = false;
   std::int64_t nnz_ = 0;
   RefreshPolicy policy_;
   std::vector<Slot> slots_;
@@ -361,12 +353,10 @@ class BicgstabSolver final : public LinearSolver {
 
 std::unique_ptr<LinearSolver> make_solver(
     SolverKind kind, const CsrMatrix& a,
-    std::shared_ptr<const SymbolicStructure> structure,
-    std::span<const std::int32_t> flow_tail_rows) {
+    std::shared_ptr<const SymbolicStructure> structure) {
   switch (kind) {
     case SolverKind::kBandedLu:
-      return std::make_unique<BandedLuSolver>(a, std::move(structure),
-                                              flow_tail_rows);
+      return std::make_unique<BandedLuSolver>(a, std::move(structure));
     case SolverKind::kBicgstabIlu0:
       return std::make_unique<BicgstabSolver<Ilu0Preconditioner>>(
           a, std::move(structure), "bicgstab+ilu0");

@@ -105,17 +105,8 @@ class LinearSolver {
 /// Create a solver of the requested kind bound to \p a. A non-null
 /// \p structure (typically from a StructureCache shared across a sweep)
 /// supplies the precomputed symbolic analysis of \p a's pattern.
-///
-/// A non-empty \p flow_tail_rows (duplicate-free, original row indices)
-/// opts kBandedLu into the tail-constrained RCM ordering: the listed
-/// rows are pinned to the end of the permutation so a partial refactor
-/// after a flow update re-eliminates only the tail block. This trades
-/// band width for tail locality (see rcm_ordering_constrained) and
-/// bypasses \p structure's cached permutation; iterative kinds ignore
-/// it.
 std::unique_ptr<LinearSolver> make_solver(
     SolverKind kind, const CsrMatrix& a,
-    std::shared_ptr<const SymbolicStructure> structure = nullptr,
-    std::span<const std::int32_t> flow_tail_rows = {});
+    std::shared_ptr<const SymbolicStructure> structure = nullptr);
 
 }  // namespace tac3d::sparse

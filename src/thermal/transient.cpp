@@ -27,26 +27,9 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
   const std::span<const double> c = model_.capacitance();
   for (std::int32_t i = 0; i < n; ++i) c_over_dt_[i] = c[i] / dt_;
 
-  std::vector<std::int32_t> flow_tail;
-  if (opts.flow_aware_banded && opts.kind == sparse::SolverKind::kBandedLu &&
-      model_.n_cavities() > 0) {
-    // Fluid rows = union of advection-entry nodes, pinned to the tail of
-    // the banded permutation so flow updates re-eliminate only the tail.
-    std::vector<char> seen(static_cast<std::size_t>(n), 0);
-    for (int cav = 0; cav < model_.n_cavities(); ++cav) {
-      for (const AdvectionEntry& e : model_.advection_entries(cav)) {
-        if (!seen[static_cast<std::size_t>(e.node)]) {
-          seen[static_cast<std::size_t>(e.node)] = 1;
-          flow_tail.push_back(e.node);
-        }
-      }
-    }
-    std::sort(flow_tail.begin(), flow_tail.end());
-  }
   solver_ = sparse::make_solver(
       opts.kind, op_.matrix(),
-      opts.cache != nullptr ? opts.cache->get(op_.matrix()) : nullptr,
-      flow_tail);
+      opts.cache != nullptr ? opts.cache->get(op_.matrix()) : nullptr);
   solver_->set_refresh_policy(opts.refresh);
   rel_tolerance_ = opts.rel_tolerance;
   solver_->set_tolerance(rel_tolerance_);
@@ -62,16 +45,6 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
     }
     predicted_.assign(n, 0.0);
     prev_state_.assign(n, 0.0);
-    if (opts.fluid_jump_predictor) {
-      // Upstream-first sweep order: advection entries are stored along
-      // the flow direction per cavity, so a Gauss-Seidel pass reads each
-      // node's upstream neighbor after it has already been updated.
-      for (int cav = 0; cav < model_.n_cavities(); ++cav) {
-        for (const AdvectionEntry& e : model_.advection_entries(cav)) {
-          fluid_rows_.push_back(e.node);
-        }
-      }
-    }
   }
   if (opts.trajectory_warm_start && solver_->uses_initial_guess()) {
     traj_prev_.assign(n, 0.0);
@@ -85,7 +58,7 @@ TransientSolver::TransientSolver(RcModel& model, double dt,
 TransientSolver::TransientSolver(RcModel& model, double dt,
                                  sparse::SolverKind kind,
                                  sparse::StructureCache* cache)
-    : TransientSolver(model, dt, Options{kind, cache, {}, 16}) {}
+    : TransientSolver(model, dt, Options{kind, cache}) {}
 
 void TransientSolver::set_state(std::vector<double> temps) {
   require(static_cast<std::int32_t>(temps.size()) == model_.node_count(),
@@ -117,99 +90,6 @@ TransientSolver::WarmStartSlot* TransientSolver::find_slot() {
   next_slot_ = (next_slot_ + 1) % static_cast<int>(slots_.size());
   victim.used = false;
   return &victim;
-}
-
-bool TransientSolver::interpolate_prediction() {
-  const int n_cav = model_.n_cavities();
-  for (std::size_t ia = 0; ia + 1 < slots_.size(); ++ia) {
-    const WarmStartSlot& a = slots_[ia];
-    if (!a.used) continue;
-    for (std::size_t ib = ia + 1; ib < slots_.size(); ++ib) {
-      const WarmStartSlot& b = slots_[ib];
-      if (!b.used) continue;
-      // Shared interpolation parameter: cur = a + theta * (b - a) for
-      // every cavity, theta strictly inside (0, 1), profiles matching.
-      double theta = -1.0;
-      bool ok = true;
-      for (int cav = 0; cav < n_cav && ok; ++cav) {
-        const std::size_t c = static_cast<std::size_t>(cav);
-        const std::uint64_t prof = model_.cavity_profile_version(cav);
-        if (a.profiles[c] != prof || b.profiles[c] != prof) {
-          ok = false;
-          break;
-        }
-        const double cur = model_.cavity_flow(cav);
-        const double span = b.flows[c] - a.flows[c];
-        if (span == 0.0) {
-          ok = cur == a.flows[c];
-          continue;
-        }
-        const double t = (cur - a.flows[c]) / span;
-        if (theta < 0.0) {
-          if (t <= 0.0 || t >= 1.0) {
-            ok = false;
-          } else {
-            theta = t;
-          }
-        } else {
-          // All cavities must agree on the parameter (the one-knob
-          // modulation family the policies actually drive).
-          ok = std::abs(t - theta) <=
-               1e-9 * std::max(1.0, std::abs(theta));
-        }
-      }
-      if (!ok || theta < 0.0) continue;
-      // x0 = T_n + jump_a + theta * (jump_b - jump_a), where jump_s is
-      // the temperature jump the cached step at slot s produced.
-      for (std::size_t i = 0; i < state_.size(); ++i) {
-        const double jump_a = a.solution[i] - a.state_before[i];
-        const double jump_b = b.solution[i] - b.state_before[i];
-        predicted_[i] = state_[i] + (jump_a + theta * (jump_b - jump_a));
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-void TransientSolver::fluid_jump_prediction() {
-  // A flow change rewrites only the advection entries, so the solution
-  // jump is concentrated in the coolant field: relax the fluid-row
-  // subsystem of A x = rhs with the solid temperatures frozen at T_n.
-  // Two Gauss-Seidel sweeps in upstream-first order propagate the new
-  // flow rate down each channel (the advection stencil is strongly
-  // one-directional), which lands the fluid block within a few percent
-  // of its solve at O(fluid nnz) cost. The residual guard in
-  // begin_step_commit keeps the prediction honest.
-  std::copy(state_.begin(), state_.end(), predicted_.begin());
-  const sparse::CsrMatrix& a = op_.matrix();
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  const auto relax_row = [&](const std::int32_t i) {
-    double num = rhs_[i];
-    double diag = 0.0;
-    for (std::int32_t k = rp[i]; k < rp[i + 1]; ++k) {
-      const std::int32_t j = ci[k];
-      if (j == i) {
-        diag = v[k];
-      } else {
-        num -= v[k] * predicted_[j];
-      }
-    }
-    predicted_[i] = num / diag;
-  };
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    for (const std::int32_t i : fluid_rows_) relax_row(i);
-  }
-  // Deliberately stop here: the sweeps solve the fluid block exactly
-  // with the solid field frozen, which transfers the remaining residual
-  // onto the wall rows. Extending the relaxation there (measured) cuts
-  // the residual norm another ~1.4x but costs Krylov iterations — the
-  // ILU(0)-preconditioned solve recovers faster from an exactly
-  // satisfied fluid block than from a smaller but wall-smeared
-  // residual, and anything past one wall pass stalls anyway (the solid
-  // block is not diagonally dominant).
 }
 
 TransientSolver::StepPrep TransientSolver::begin_step_prepare() {
@@ -249,28 +129,17 @@ TransientSolver::StepPrep TransientSolver::begin_step_prepare() {
     WarmStartSlot* slot = find_slot();
     pending_slot_ = slot;
     std::copy(state_.begin(), state_.end(), prev_state_.begin());
-    // Predict the post-flow-change solution as the current state plus a
-    // jump derived from the transition cache: on an exact flow-state
-    // match, the jump the cached step at these exact flows produced
-    // (x0 = T_n + solution - state_before; on a sustained modulation
-    // orbit this is the solution itself); on a miss, the linear
-    // interpolation between two cached jumps whose flow states bracket
-    // the new one (continuous fuzzy modulation rarely revisits exact
-    // states, but walks between cached ones all the time).
+    // On an exact flow-state match, predict the post-flow-change
+    // solution as the current state plus the jump the cached step at
+    // these exact flows produced (x0 = T_n + solution - state_before; on
+    // a sustained modulation orbit this is the solution itself). A miss
+    // falls through to the trajectory guess or the plain warm start.
     if (slot->used) {
       for (std::size_t i = 0; i < state_.size(); ++i) {
         predicted_[i] =
             state_[i] + (slot->solution[i] - slot->state_before[i]);
       }
       prep.want_predicted = true;
-    } else if (interpolate_prediction()) {
-      prep.want_predicted = true;
-      prep.predicted_is_interpolation = true;
-    } else if (!fluid_rows_.empty()) {
-      // Genuinely new flow regime: neither cached prediction applies.
-      fluid_jump_prediction();
-      prep.want_predicted = true;
-      prep.predicted_is_fluid_jump = true;
     }
   }
   pending_ = prep;
@@ -293,10 +162,7 @@ void TransientSolver::begin_step_commit(double rr_predicted,
         rr_predicted <= bb * tol2 || rr_predicted < rr_plain;
     if (use_pred) {
       std::copy(predicted_.begin(), predicted_.end(), state_.begin());
-      ++(pending_.predicted_is_interpolation
-             ? predictor_interp_hits_
-             : pending_.predicted_is_fluid_jump ? predictor_fluid_hits_
-                                                : predictor_hits_);
+      ++predictor_hits_;
       predictor_used = true;
     }
   }

@@ -67,23 +67,6 @@ class TransientSolver {
     /// never worse than the plain warm start; the solve tolerance
     /// guarantees the answer either way.
     bool trajectory_warm_start = true;
-    /// Physics-based fluid-jump predictor: when a flow change misses
-    /// both the exact transition cache and the bracketing interpolation
-    /// (a genuinely new flow regime — aperiodic modulation, first
-    /// visits), seed x0 by relaxing the small fluid-row subsystem alone
-    /// (a few Gauss-Seidel sweeps in upstream-first advection order,
-    /// solid temperatures held at T_n). A flow step mostly moves the
-    /// coolant field; solving just that block captures the jump at
-    /// O(fluid nnz) cost. Residual-guarded like every other candidate.
-    /// Iterative kinds only.
-    bool fluid_jump_predictor = true;
-    /// Order the banded direct solver with the fluid/advection rows
-    /// constrained to the tail of the permutation
-    /// (sparse::rcm_ordering_constrained) so flow updates re-eliminate
-    /// only the tail block. Costs band width on tall stacks; the
-    /// factor-slot cache (RefreshPolicy::factor_slots) is usually the
-    /// better lever, so this is opt-in. kBandedLu only.
-    bool flow_aware_banded = false;
   };
 
   /// \param model the RC network (power/flows mutated externally)
@@ -119,12 +102,9 @@ class TransientSolver {
   struct StepPrep {
     bool flow_changed = false;
     sparse::ValueUpdate update;
-    /// predicted_candidate() is primed (flow-transition prediction:
-    /// exact-match, interpolated or fluid-jump) — its squared residual
-    /// gates it.
+    /// predicted_candidate() is primed (exact transition-cache match)
+    /// — its squared residual gates it.
     bool want_predicted = false;
-    bool predicted_is_interpolation = false;
-    bool predicted_is_fluid_jump = false;
     /// trajectory_candidate() is primed (x0 = 2 T_n - T_{n-1}).
     bool want_trajectory = false;
   };
@@ -216,19 +196,6 @@ class TransientSolver {
   /// cache match.
   std::uint64_t predictor_hits() const { return predictor_hits_; }
 
-  /// Flow-change steps whose warm start was interpolated between two
-  /// cached flow states bracketing the new one (exact match missed).
-  std::uint64_t predictor_interpolations() const {
-    return predictor_interp_hits_;
-  }
-
-  /// Flow-change steps whose warm start came from the fluid-jump
-  /// predictor (both cache-based predictions missed; the fluid-row
-  /// subsystem relaxation won the residual guard).
-  std::uint64_t predictor_fluid_jumps() const {
-    return predictor_fluid_hits_;
-  }
-
   /// Ordinary steps whose warm start came from the trajectory
   /// extrapolation (guard accepted it over the plain warm start).
   std::uint64_t trajectory_hits() const { return trajectory_hits_; }
@@ -246,20 +213,6 @@ class TransientSolver {
   /// round-robin victim (marked unused). Null when the predictor is off.
   WarmStartSlot* find_slot();
 
-  /// Exact-match miss fallback: when two cached flow states bracket the
-  /// model's current one (per-cavity collinear, shared parameter in
-  /// (0, 1), equal profile versions), write the linearly interpolated
-  /// jump prediction into predicted_ and return true. Targets
-  /// continuously modulated (fuzzy-policy) stepping, where the exact
-  /// cache almost never hits.
-  bool interpolate_prediction();
-
-  /// Last-resort flow-change prediction (see Options::
-  /// fluid_jump_predictor): Gauss-Seidel sweeps over the fluid rows of
-  /// A x = rhs with solid temperatures frozen at T_n, written into
-  /// predicted_.
-  void fluid_jump_prediction();
-
   RcModel& model_;
   double dt_;
   ThermalOperator op_;
@@ -276,11 +229,6 @@ class TransientSolver {
   WarmStartSlot* pending_slot_ = nullptr;  ///< begin_step -> end_step
   StepPrep pending_;  ///< candidates awaiting begin_step_commit
   std::uint64_t predictor_hits_ = 0;
-  std::uint64_t predictor_interp_hits_ = 0;
-  /// Fluid rows in upstream-first advection order (empty = predictor
-  /// off); see fluid_jump_prediction().
-  std::vector<std::int32_t> fluid_rows_;
-  std::uint64_t predictor_fluid_hits_ = 0;
   // Trajectory warm start (allocated when enabled): T_{n-1} of the last
   // ordinary step and the extrapolated guess scratch.
   std::vector<double> traj_prev_;

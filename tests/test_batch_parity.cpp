@@ -110,12 +110,11 @@ TEST_P(BatchParityTest, LanesMatchScalarPathBitwise) {
   std::vector<PreparedScenario> prepared;
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
-  // Iterative kinds batch the thermal solves; the direct solver falls
-  // back to scalar lockstep — and must be just as invisible. These
-  // lanes share the floorplan, so a thermal batch also fuses its tail.
+  // Iterative kinds batch the thermal solves and fuse the tail; the
+  // direct solver falls back to scalar lockstep — and must be just as
+  // invisible.
   EXPECT_EQ(batch.thermal_batched(),
             kind != sparse::SolverKind::kBandedLu);
-  EXPECT_EQ(batch.tail_fused(), batch.thermal_batched());
   batch.run_to_end();
   EXPECT_TRUE(batch.done());
 
@@ -201,10 +200,9 @@ TEST(BatchSession, ThrowingLaneLeavesOtherLanesIntact) {
   prepared[1].policy =
       std::make_unique<ThrowAfterPolicy>(std::move(prepared[1].policy), 5);
   BatchSession batch(std::move(prepared));
-  EXPECT_TRUE(batch.thermal_batched());
   // The wrapped lane is not a FuzzyFlowDvfsPolicy, so it decides on the
   // per-lane path inside the fused tail — fusion itself stays on.
-  EXPECT_TRUE(batch.tail_fused());
+  EXPECT_TRUE(batch.thermal_batched());
   batch.run_to_end();
   EXPECT_TRUE(batch.done());
 
@@ -236,7 +234,6 @@ TEST(BatchSession, AirCooledLanesFuseTailAndMatchScalar) {
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   EXPECT_TRUE(batch.thermal_batched());
-  EXPECT_TRUE(batch.tail_fused());
   batch.run_to_end();
   for (int l = 0; l < batch.lanes(); ++l) {
     expect_lane_matches(batch, l, refs[static_cast<std::size_t>(l)],
@@ -265,7 +262,6 @@ TEST(BatchSession, AllFuzzyBatchSharesInferenceBitwise) {
   for (const Scenario& s : lanes) prepared.push_back(bank.prepare(s));
   BatchSession batch(std::move(prepared));
   EXPECT_TRUE(batch.thermal_batched());
-  EXPECT_TRUE(batch.tail_fused());
   batch.run_to_end();
   for (int l = 0; l < batch.lanes(); ++l) {
     expect_lane_matches(batch, l, refs[static_cast<std::size_t>(l)],

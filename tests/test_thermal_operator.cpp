@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "arch/mpsoc.hpp"
@@ -26,7 +27,6 @@
 #include "microchannel/modulation.hpp"
 #include "microchannel/pump.hpp"
 #include "sparse/banded_lu.hpp"
-#include "sparse/rcm.hpp"
 #include "thermal/operator.hpp"
 #include "thermal/transient.hpp"
 
@@ -160,95 +160,6 @@ TEST(BandedLuPartial, DeepRestartBitwiseOnSyntheticBand) {
   EXPECT_EQ(max_abs_diff(x_partial, x_full), 0.0);
 }
 
-// Flow-aware banded ordering (sparse::rcm_ordering_constrained): with
-// the fluid/advection rows pinned to the tail of the permutation, a flow
-// change's dirty rows all land in the tail block, so factor_rows
-// re-eliminates only that tail — and must still be bitwise identical to
-// a full refactor.
-TEST(BandedLuPartial, FluidTailOrderingRefactorsOnlyTheTail) {
-  auto pump = microchannel::PumpModel::table1();
-  auto soc = make_soc(8, 8);
-  load_power(soc);
-  soc.model().set_all_flows(pump.q_max());
-  thermal::ThermalOperator op(soc.model(), 0.1);
-
-  // Every advection-touched node, deduplicated: the tail constraint.
-  std::vector<std::int32_t> fluid_rows;
-  {
-    std::vector<char> seen(static_cast<std::size_t>(op.matrix().rows()), 0);
-    for (int cav = 0; cav < soc.model().n_cavities(); ++cav) {
-      for (const auto& e : soc.model().advection_entries(cav)) {
-        if (!seen[static_cast<std::size_t>(e.node)]) {
-          seen[static_cast<std::size_t>(e.node)] = 1;
-          fluid_rows.push_back(e.node);
-        }
-      }
-    }
-  }
-  ASSERT_FALSE(fluid_rows.empty());
-
-  const std::vector<std::int32_t> order =
-      sparse::rcm_ordering_constrained(op.matrix(), fluid_rows);
-  sparse::BandedLu partial(op.matrix(), order);
-
-  // Every fluid row sits in the tail block [n - n_fluid, n).
-  const std::int32_t n = op.matrix().rows();
-  const std::int32_t tail_start =
-      n - static_cast<std::int32_t>(fluid_rows.size());
-  EXPECT_EQ(partial.first_permuted_row(fluid_rows), tail_start);
-
-  soc.model().set_all_flows(pump.flow_per_cavity(4));
-  const sparse::ValueUpdate upd = op.update_flow();
-  ASSERT_FALSE(upd.rows.empty());
-  // The whole point of the constrained ordering: the dirty rows of a
-  // flow update start no earlier than the fluid tail, so the partial
-  // re-elimination touches only |fluid| rows, not ~all of them.
-  EXPECT_GE(partial.first_permuted_row(upd.rows), tail_start);
-
-  partial.factor_rows(op.matrix(), upd.rows);
-  sparse::BandedLu full(op.matrix(), order);
-  std::vector<double> b(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) b[i] = 1.0 + 0.01 * i;
-  std::vector<double> x_partial(b.size()), x_full(b.size());
-  partial.solve(b, x_partial);
-  full.solve(b, x_full);
-  EXPECT_EQ(max_abs_diff(x_partial, x_full), 0.0);
-}
-
-// The TransientSolver plumbing of the same lever: a flow-aware banded
-// solver must step to the same temperatures as the default-ordered one
-// (both direct solves — agreement to rounding, not bitwise, since the
-// elimination order differs).
-TEST(BandedLuPartial, FlowAwareBandedSteppingMatchesDefaultOrdering) {
-  auto pump = microchannel::PumpModel::table1();
-  auto soc_a = make_soc(8, 8);
-  auto soc_b = make_soc(8, 8);
-  for (auto* soc : {&soc_a, &soc_b}) {
-    load_power(*soc);
-    soc->model().set_all_flows(pump.q_max());
-  }
-
-  thermal::TransientSolver::Options base;
-  base.kind = sparse::SolverKind::kBandedLu;
-  thermal::TransientSolver::Options tail = base;
-  tail.flow_aware_banded = true;
-
-  thermal::TransientSolver ref(soc_a.model(), 0.1, base);
-  thermal::TransientSolver fat(soc_b.model(), 0.1, tail);
-  ref.initialize_steady();
-  fat.set_state({ref.temperatures().begin(), ref.temperatures().end()});
-
-  for (int step = 0; step < 12; ++step) {
-    const int level = step % pump.levels();
-    soc_a.model().set_all_flows(pump.flow_per_cavity(level));
-    soc_b.model().set_all_flows(pump.flow_per_cavity(level));
-    ref.step();
-    fat.step();
-    EXPECT_LT(max_abs_diff(ref.temperatures(), fat.temperatures()), 1e-8)
-        << "step " << step;
-  }
-}
-
 // The staleness-policy correctness requirement: lazy refresh must agree
 // with always-refactor stepping to 1e-8 over a full modulation sweep,
 // for every solver kind.
@@ -340,41 +251,54 @@ TEST(FlowTransitionPredictor, DoesNotChangeResultsBeyondTolerance) {
   EXPECT_GT(hits_with, 40u);
 }
 
-TEST(FlowTransitionPredictor, InterpolatesBetweenBracketingCachedStates) {
-  // Continuous modulation (the fuzzy-policy regime) almost never
-  // revisits an exact flow state, so the exact-match cache misses every
-  // step — but the new state usually lies between two cached ones, and
-  // the interpolated jump prediction should engage (residual-guarded,
-  // so the answer stays within solver tolerance regardless).
+// Every flow state new (per-cavity irrational-rotation flows, as in
+// bench_solver_speed's aperiodic leg): the transition cache never
+// matches, and a miss must take exactly the path of a solver without the
+// cache — trajectory guess or plain warm start — so the two step
+// bitwise-identically, iteration counts included.
+TEST(FlowTransitionPredictor, CacheMissesStepLikeNoCache) {
   auto pump = microchannel::PumpModel::table1();
-  const double q0 = pump.flow_per_cavity(8);
 
-  auto run = [&](int slots) {
+  struct Out {
+    std::vector<double> temps;
+    std::uint64_t iterations;
+    std::uint64_t hits;
+  };
+  auto run = [&](sparse::SolverKind kind, int slots) {
     auto soc = make_soc();
     load_power(soc);
     soc.model().set_all_flows(pump.q_max());
     thermal::TransientSolver::Options opts;
+    opts.kind = kind;
     opts.warm_start_slots = slots;
     thermal::TransientSolver sim(soc.model(), 0.1, opts);
     sim.initialize_steady();
-    // Smooth incommensurate oscillation: sin(i) for integer i never
-    // repeats, so every step is an exact-cache miss with plenty of
-    // bracketing neighbors once the slots fill.
-    for (int i = 0; i < 60; ++i) {
-      soc.model().set_all_flows(q0 * (1.0 + 0.25 * std::sin(0.7 * i)));
-      sim.step();
+    const int n_cav = soc.model().n_cavities();
+    for (int k = 0; k < 24; ++k) {
+      for (int cav = 0; cav < n_cav; ++cav) {
+        const double stride = 0.618033988749895 + 0.089 * cav;
+        const double u = std::fmod(stride * k + 0.1 * (cav + 1), 1.0);
+        soc.model().set_cavity_flow(cav, (0.45 + 0.35 * u) * pump.q_max());
+      }
+      for (int j = 0; j < 3; ++j) sim.step();  // transition + settle
     }
-    return std::pair<std::vector<double>, std::uint64_t>(
-        std::vector<double>(sim.temperatures().begin(),
-                            sim.temperatures().end()),
-        sim.predictor_interpolations());
+    return Out{{sim.temperatures().begin(), sim.temperatures().end()},
+               sim.solver_stats().iterations,
+               sim.predictor_hits()};
   };
 
-  const auto [with, interps] = run(16);
-  const auto [without, none] = run(0);
-  EXPECT_EQ(none, 0u);
-  EXPECT_GE(interps, 5u) << "interpolating warm start never engaged";
-  EXPECT_LT(max_abs_diff(with, without), 1e-8);
+  for (const sparse::SolverKind kind : {sparse::SolverKind::kBicgstabIlu0,
+                                        sparse::SolverKind::kBicgstabJacobi}) {
+    const Out cached = run(kind, 16);
+    const Out uncached = run(kind, 0);
+    EXPECT_EQ(cached.hits, 0u);
+    EXPECT_GT(cached.iterations, 0u);
+    EXPECT_EQ(cached.iterations, uncached.iterations);
+    ASSERT_EQ(cached.temps.size(), uncached.temps.size());
+    EXPECT_EQ(std::memcmp(cached.temps.data(), uncached.temps.data(),
+                          cached.temps.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(TrajectoryWarmStart, AcceptsExtrapolationAndStaysWithinTolerance) {
