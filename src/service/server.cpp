@@ -234,10 +234,10 @@ void ServiceServer::handle_message(const std::shared_ptr<Connection>& conn,
           if (ev.kind == JobEvent::Kind::kResult) {
             proto::ScenarioResultMsg m;
             m.job_id = ev.job_id;
-            m.index = ev.index;
-            m.ok = ev.ok ? 1 : 0;
-            m.metrics = ev.metrics;
-            m.error = ev.error;
+            m.index = static_cast<std::uint32_t>(ev.result.index);
+            m.ok = ev.result.ok() ? 1 : 0;
+            m.metrics = ev.result.metrics;
+            m.error = ev.result.error;
             send_frame(*conn, m);
           } else {
             proto::SweepCompleteMsg m;

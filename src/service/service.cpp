@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "sim/prepared.hpp"
-#include "sim/sweep.hpp"
 
 namespace tac3d::service {
 
@@ -55,7 +51,7 @@ struct SweepService::Job {
   State state = State::kQueued;
   int cores_requested = 1;
   int cores_granted = 0;
-  std::vector<sim::Scenario> scenarios;
+  std::vector<sim::SweepResult> slots;  ///< moved into each kResult event
   std::vector<std::size_t> order;  ///< task indices, longest-first (LPT)
   std::size_t next = 0;            ///< next unclaimed position in order
   int active = 0;                  ///< workers currently inside a task
@@ -93,35 +89,15 @@ std::optional<SweepService::Ticket> SweepService::submit(
     std::vector<sim::Scenario> scenarios, int cores_requested,
     EventFn on_event) {
   auto job = std::make_shared<Job>();
-  job->scenarios = std::move(scenarios);
+  job->slots = sim::sweep_slots(std::move(scenarios), bank_->structures());
   job->on_event = std::move(on_event);
 
-  // Resolve labels and inject the shared symbolic cache, mirroring
-  // run_sweep's per-scenario preamble; scenarios carrying their own
-  // cache keep it.
-  for (sim::Scenario& s : job->scenarios) {
-    if (s.label.empty()) s.label = sim::scenario_label(s);
-    if (!s.sim.structure_cache) s.sim.structure_cache = bank_->structures();
-  }
-
-  // LPT order with the sweep runner's cost model: within the job, the
-  // longest-estimated scenario is claimed first so one expensive
-  // straggler cannot serialize the job's tail; scenarios whose steady
-  // key the shared bank already holds are costed as clone-and-reset.
-  std::vector<double> cost(job->scenarios.size(), 0.0);
-  {
-    std::unordered_set<std::string> seen_steady;
-    for (std::size_t i = 0; i < job->scenarios.size(); ++i) {
-      const sim::Scenario& s = job->scenarios[i];
-      double setup_factor = 1.0;
-      const std::string key = sim::scenario_steady_key(s);
-      if (!seen_steady.insert(key).second || bank_->has_steady(key)) {
-        setup_factor = sim::kPreparedScenarioSetupFactor;
-      }
-      cost[i] = sim::estimated_scenario_cost(s, setup_factor);
-    }
-  }
-  job->order.resize(job->scenarios.size());
+  // LPT order within the job: the longest-estimated scenario is
+  // claimed first so one expensive straggler cannot serialize the job's
+  // tail.
+  const std::vector<double> cost =
+      sim::scenario_costs(job->slots, bank_.get());
+  job->order.resize(job->slots.size());
   for (std::size_t i = 0; i < job->order.size(); ++i) job->order[i] = i;
   std::stable_sort(job->order.begin(), job->order.end(),
                    [&](std::size_t a, std::size_t b) {
@@ -137,7 +113,7 @@ std::optional<SweepService::Ticket> SweepService::submit(
     job->cores_requested = std::clamp(
         cores_requested, 1,
         std::max(1, std::min(budget_,
-                             static_cast<int>(job->scenarios.size()))));
+                             static_cast<int>(job->slots.size()))));
     queue_.push_back(job);
     try_admit_locked();
     ticket.job_id = job->id;
@@ -152,7 +128,7 @@ std::optional<SweepService::Ticket> SweepService::submit(
 
   // An empty job has nothing to schedule: complete it right away so the
   // client's stream still terminates.
-  if (job->scenarios.empty()) {
+  if (job->slots.empty()) {
     std::lock_guard<std::mutex> em(job->emit_mu);
     bool finalize = false;
     JobEvent ev;
@@ -195,7 +171,7 @@ bool SweepService::cancel(std::uint32_t job_id) {
         job->state = Job::State::kCancelled;
         job->was_cancelled = true;
         job->cancelled =
-            static_cast<std::uint32_t>(job->scenarios.size());
+            static_cast<std::uint32_t>(job->slots.size());
         cancelled_total_ += job->cancelled;
         ev = finalize_locked(job);
         finalize = true;
@@ -333,22 +309,9 @@ void SweepService::worker_loop() {
     }
 
     JobEvent ev;
-    ev.kind = JobEvent::Kind::kResult;
     ev.job_id = job->id;
-    ev.index = static_cast<std::uint32_t>(task);
-    try {
-      obs::TraceSpan job_span("sweep/job");
-      sim::PreparedScenario prepared =
-          bank_->prepare(job->scenarios[task]);
-      sim::SimulationSession session = prepared.session();
-      session.run_to_end();
-      ev.metrics = session.metrics();
-      ev.ok = true;
-    } catch (const std::exception& e) {
-      ev.error = e.what();
-    } catch (...) {
-      ev.error = "unknown error";
-    }
+    ev.result = std::move(job->slots[task]);
+    sim::run_scenario_job(ev.result, bank_.get());
 
     std::unique_lock<std::mutex> em(job->emit_mu);
     bool finalize = false;
@@ -360,7 +323,7 @@ void SweepService::worker_loop() {
         job->ttfr_recorded = true;
         sm().ttfr.record(ms_since(job->submitted));
       }
-      if (ev.ok) {
+      if (ev.result.ok()) {
         ++job->completed;
         ++done_total_;
         sm().done.add();

@@ -14,11 +14,16 @@
 /// worker threads. Each submitted job declares how many cores it wants;
 /// jobs are admitted FIFO while the sum of granted cores fits the
 /// budget, and a job that would exceed it is queued — never refused.
-/// Within an admitted job, scenarios run longest-estimated-first (the
-/// sweep runner's LPT cost model, steady-tier discounts included) on the
-/// job's granted cores, and every finished scenario is streamed to the
-/// job's event callback immediately — time-to-first-result does not wait
-/// for sweep end.
+/// Within an admitted job, scenarios run longest-estimated-first
+/// (sim::scenario_costs, steady-tier discounts included) on the job's
+/// granted cores, and every finished scenario is streamed to the job's
+/// event callback immediately — time-to-first-result does not wait for
+/// sweep end.
+///
+/// Each scenario runs through sim::run_scenario_job, the job function of
+/// run_sweep's scalar path, so a service request publishes the same
+/// sweep/*, solver/*, predictor/* and replay/* registry counters as a
+/// sweep does.
 ///
 /// Robustness contract: a cancelled job (client disconnect) skips its
 /// pending scenarios but lets in-flight ones finish — other jobs are
@@ -37,7 +42,7 @@
 #include <vector>
 
 #include "sim/bank.hpp"
-#include "sim/experiment.hpp"
+#include "sim/sweep.hpp"
 
 namespace tac3d::service {
 
@@ -57,11 +62,8 @@ struct JobEvent {
   Kind kind = Kind::kResult;
   std::uint32_t job_id = 0;
 
-  // kResult
-  std::uint32_t index = 0;  ///< position in the submitted scenario list
-  bool ok = false;
-  sim::SimMetrics metrics;  ///< valid when ok
-  std::string error;        ///< non-empty when !ok
+  // kResult: result.index is the position in the submitted list.
+  sim::SweepResult result;
 
   // kComplete
   std::uint32_t completed = 0;

@@ -333,7 +333,7 @@ void BatchSession::step_batched_fused() {
       if (fz_batched && plan.fuzzy[bb] != nullptr) {
         require(static_cast<int>(s.policy_actions().vf_levels.size()) ==
                     plan.n_cores,
-                "simulate: policy returned wrong vf_levels size");
+                "SimulationSession: policy returned wrong vf_levels size");
       } else {
         s.tail_decide();
       }

@@ -27,7 +27,8 @@ void apply_pump(arch::Mpsoc3D& soc, const microchannel::PumpModel& pump,
 
 int count_steps(const SimulationConfig& cfg,
                 const power::UtilizationTrace& trace) {
-  require(cfg.control_dt > 0.0, "simulate: control_dt must be positive");
+  require(cfg.control_dt > 0.0,
+          "SimulationSession: control_dt must be positive");
   const double duration =
       cfg.duration > 0.0 ? cfg.duration
                          : static_cast<double>(trace.seconds() - 1);
@@ -105,7 +106,7 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
       thread_demand_(trace.threads()),
       core_demand_() {
   require(trace_.threads() == soc_.chip().hardware_threads(),
-          "simulate: trace thread count must match the chip");
+          "SimulationSession: trace thread count must match the chip");
 
   // --- initial state -----------------------------------------------------
   cores_ = initial_cores(soc_, trace_, scheduler_, thread_demand_,
@@ -122,10 +123,10 @@ SimulationSession::SimulationSession(arch::Mpsoc3D& soc,
   if (init != nullptr) {
     require(static_cast<std::int32_t>(init->temperatures.size()) ==
                 soc_.model().node_count(),
-            "simulate: initial_state temperature size mismatch");
+            "SimulationSession: initial_state temperature size mismatch");
     require(static_cast<int>(init->element_powers.size()) ==
                 soc_.model().grid().element_count(),
-            "simulate: initial_state element power size mismatch");
+            "SimulationSession: initial_state element power size mismatch");
   } else {
     init = std::make_shared<InitialThermalState>(
         steady_for_cores(soc_, cfg_, cores_));
@@ -223,7 +224,7 @@ void SimulationSession::tail_decide() {
   // 2. Policy decision from the current sensors.
   policy_.decide_into(in_, act_);
   require(static_cast<int>(act_.vf_levels.size()) == n_cores_,
-          "simulate: policy returned wrong vf_levels size");
+          "SimulationSession: policy returned wrong vf_levels size");
 }
 
 void SimulationSession::tail_apply() {
@@ -431,14 +432,6 @@ double SimulationSession::core_temp(int core) const {
 
 double SimulationSession::max_core_temp() const {
   return soc_.max_core_temp(thermal_->temperatures());
-}
-
-SimMetrics simulate(arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,
-                    control::ThermalPolicy& policy,
-                    const SimulationConfig& cfg) {
-  SimulationSession session(soc, trace, policy, cfg);
-  session.run_to_end();
-  return session.metrics();
 }
 
 }  // namespace tac3d::sim

@@ -4,10 +4,10 @@
 /// policy (DVFS + flow rate) -> power model -> transient thermal model,
 /// stepped at the control interval.
 ///
-/// The loop is exposed at two altitudes: SimulationSession drives it one
-/// control interval at a time (callers can inspect mid-run state, pause,
-/// and resume), while simulate() remains the one-shot convenience wrapper
-/// that runs a session to completion.
+/// SimulationSession drives the loop one control interval at a time:
+/// callers can inspect mid-run state, pause and resume, or run_to_end()
+/// in one call (sim::run_scenario in sim/experiment.hpp does that for a
+/// Scenario description).
 
 #include <limits>
 #include <memory>
@@ -283,12 +283,5 @@ class SimulationSession {
   /// after each committed interval while replay is armed.
   void replay_post_step();
 };
-
-/// Run \p trace through \p policy on \p soc and collect metrics.
-/// Thin wrapper over SimulationSession: construct, run to the end,
-/// return the metrics.
-SimMetrics simulate(arch::Mpsoc3D& soc, const power::UtilizationTrace& trace,
-                    control::ThermalPolicy& policy,
-                    const SimulationConfig& cfg = {});
 
 }  // namespace tac3d::sim

@@ -89,11 +89,6 @@ ScenarioInstance instantiate(const Scenario& spec);
 /// Instantiate the scenario, run it to completion, return metrics.
 SimMetrics run_scenario(const Scenario& spec);
 
-/// Back-compat alias for run_scenario().
-inline SimMetrics run_experiment(const Scenario& spec) {
-  return run_scenario(spec);
-}
-
 /// Cartesian sweep builder over scenario axes. Expansion order is
 /// deterministic: tiers (outer) -> policies -> workloads -> solvers ->
 /// seeds (inner), filters applied last.

@@ -74,7 +74,7 @@ int auto_batch_width(const Scenario& s) {
 /// lanes of one batched lockstep group chunk.
 struct SweepJob {
   std::vector<std::size_t> slots;  ///< indices into the results array
-  double cost = 0.0;  ///< summed estimated_scenario_cost (LPT key)
+  double cost = 0.0;  ///< summed scenario_costs (LPT key)
 };
 
 /// Can this scenario join a batched lockstep group? (Direct solvers
@@ -102,6 +102,58 @@ std::string batch_group_key(const Scenario& s) {
          "|fz=" + (s.policy == PolicyKind::kLcFuzzy ? "1" : "0");
 }
 
+/// The registry publication point: fold one finished session's bespoke
+/// counters (SolverStats, warm-start predictor outcomes, step counts)
+/// into the uniform obs namespace. Scenario completion, not the
+/// per-step loop, so the warm hot path stays untouched.
+void publish_session(const SimulationSession& s) {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter steps("sweep/steps");
+  static obs::Counter solves("solver/solves");
+  static obs::Counter iterations("solver/iterations");
+  static obs::Counter refactors("solver/refactors");
+  static obs::Counter partials("solver/partial_refactors");
+  static obs::Counter deferred("solver/deferred_updates");
+  static obs::Counter fcache("solver/factor_cache_hits");
+  static obs::Counter retries("solver/retries");
+  static obs::Counter pred("predictor/hits");
+  static obs::Counter traj("predictor/trajectory_hits");
+  static obs::Counter replay_cycles("replay/cycles");
+  static obs::Counter replay_steps("replay/steps_replayed");
+  static obs::Counter replay_skipped("replay/solves_skipped");
+  steps.add(static_cast<std::uint64_t>(s.steps_done()));
+  replay_cycles.add(s.replay_cycles());
+  replay_steps.add(s.replay_steps());
+  replay_skipped.add(s.replay_solves_skipped());
+  const sparse::SolverStats& st = s.solver_stats();
+  solves.add(st.solves);
+  iterations.add(st.iterations);
+  refactors.add(st.refactors);
+  partials.add(st.partial_refactors);
+  deferred.add(st.deferred_updates);
+  fcache.add(st.factor_cache_hits);
+  retries.add(st.retries);
+  const thermal::TransientSolver& t = s.thermal_solver();
+  pred.add(t.predictor_hits());
+  traj.add(t.trajectory_hits());
+}
+
+void publish_result(const SweepResult& r) {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter scenarios("sweep/scenarios");
+  static obs::Counter failures("sweep/scenarios_failed");
+  static obs::HistogramMetric setup_s("sweep/setup_seconds");
+  static obs::HistogramMetric stepping_s("sweep/stepping_seconds");
+  static obs::HistogramMetric solve_s("sweep/solve_seconds");
+  static obs::HistogramMetric tail_s("sweep/tail_seconds");
+  scenarios.add();
+  if (!r.ok()) failures.add();
+  setup_s.record(r.setup_seconds);
+  stepping_s.record(r.stepping_seconds);
+  solve_s.record(r.solve_seconds);
+  tail_s.record(r.tail_seconds);
+}
+
 }  // namespace
 
 int resolve_jobs(int requested) {
@@ -117,24 +169,90 @@ int resolve_jobs(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-double estimated_scenario_cost(const Scenario& s,
-                               double prepared_setup_factor) {
+std::vector<SweepResult> sweep_slots(
+    std::vector<Scenario> scenarios,
+    const std::shared_ptr<sparse::StructureCache>& cache) {
+  std::vector<SweepResult> slots(scenarios.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    SweepResult& r = slots[i];
+    r.index = i;
+    r.scenario = std::move(scenarios[i]);
+    if (r.scenario.label.empty()) r.scenario.label = scenario_label(r.scenario);
+    if (!r.scenario.sim.structure_cache) r.scenario.sim.structure_cache = cache;
+  }
+  return slots;
+}
+
+std::vector<double> scenario_costs(const std::vector<SweepResult>& slots,
+                                   const ScenarioBank* bank) {
   const double layers_per_tier = 3.5;  // bulk + interface (+ cavity)
-  const double cells = static_cast<double>(s.grid.rows) * s.grid.cols *
-                       (layers_per_tier * s.tiers + 1.0);
-  const double dt = s.sim.control_dt > 0.0 ? s.sim.control_dt : 0.25;
-  const double duration =
-      s.sim.duration > 0.0 ? s.sim.duration
-                           : static_cast<double>(s.trace_seconds);
-  const double flow_weight =
-      s.policy == PolicyKind::kLcFuzzy ? 2.0 : 1.0;
   // The leakage-consistent steady init costs on the order of hundreds of
-  // transient steps per fixed-point iteration.
+  // transient steps per fixed-point iteration. Only the first scenario
+  // of each steady-tier key pays it; later equal-keyed ones (and keys
+  // the bank holds) are costed as clone-and-reset so the scheduler
+  // doesn't overrate them.
   const double steps_equivalent_per_init = 300.0;
-  const double setup = prepared_setup_factor * cells *
-                       steps_equivalent_per_init *
-                       std::max(1, s.sim.init_iterations);
-  return cells * (duration / dt) * flow_weight + setup;
+  const double prepared_setup_factor = 0.05;
+  std::vector<double> cost;
+  cost.reserve(slots.size());
+  std::unordered_set<std::string> seen_steady;
+  for (const SweepResult& r : slots) {
+    const Scenario& s = r.scenario;
+    double setup_factor = 1.0;
+    if (bank != nullptr) {
+      const std::string key = scenario_steady_key(s);
+      if (!seen_steady.insert(key).second || bank->has_steady(key)) {
+        setup_factor = prepared_setup_factor;
+      }
+    }
+    const double cells = static_cast<double>(s.grid.rows) * s.grid.cols *
+                         (layers_per_tier * s.tiers + 1.0);
+    const double dt = s.sim.control_dt > 0.0 ? s.sim.control_dt : 0.25;
+    const double duration = s.sim.duration > 0.0
+                                ? s.sim.duration
+                                : static_cast<double>(s.trace_seconds);
+    const double flow_weight = s.policy == PolicyKind::kLcFuzzy ? 2.0 : 1.0;
+    const double setup = setup_factor * cells * steps_equivalent_per_init *
+                         std::max(1, s.sim.init_iterations);
+    cost.push_back(cells * (duration / dt) * flow_weight + setup);
+  }
+  return cost;
+}
+
+void run_scenario_job(SweepResult& r, ScenarioBank* bank) {
+  obs::TraceSpan job_span("sweep/job");
+  const auto t0 = std::chrono::steady_clock::now();
+  // Materialize (bank: compile), time the construction and the stepping
+  // separately, and run to the end. The owner keeps the session's
+  // referenced objects alive for its whole scope.
+  auto run = [&](auto owner) {
+    SimulationSession session = owner.session();
+    r.setup_seconds = seconds_since(t0);
+    const auto t1 = std::chrono::steady_clock::now();
+    session.run_to_end();
+    r.metrics = session.metrics();
+    r.stepping_seconds = seconds_since(t1);
+    r.solve_seconds = session.solve_seconds();
+    r.tail_seconds = session.tail_seconds();
+    r.replay_cycles = session.replay_cycles();
+    r.replay_steps = session.replay_steps();
+    r.replay_solves_skipped = session.replay_solves_skipped();
+    publish_session(session);
+  };
+  try {
+    if (bank != nullptr) {
+      run(bank->prepare(r.scenario));
+    } else {
+      run(instantiate(r.scenario));
+    }
+  } catch (const std::exception& e) {
+    r.error = e.what();
+  } catch (...) {
+    r.error = "unknown error";
+  }
+  r.wall_seconds =
+      r.ok() ? r.setup_seconds + r.stepping_seconds : seconds_since(t0);
+  publish_result(r);
 }
 
 SweepReport::SweepReport(std::vector<SweepResult> results, int jobs_used,
@@ -290,40 +408,11 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     // — share_structures only governs the bank-off path (see its doc).
     cache = bank->structures();
   }
-  std::vector<SweepResult> results(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    results[i].index = i;
-    results[i].scenario = scenarios[i];
-    if (results[i].scenario.label.empty()) {
-      results[i].scenario.label = scenario_label(scenarios[i]);
-    }
-    if (cache && !results[i].scenario.sim.structure_cache) {
-      results[i].scenario.sim.structure_cache = cache;
-    }
-    if (opts.refresh) {
-      results[i].scenario.sim.refresh = *opts.refresh;
-    }
+  std::vector<SweepResult> results = sweep_slots(scenarios, cache);
+  if (opts.refresh) {
+    for (SweepResult& r : results) r.scenario.sim.refresh = *opts.refresh;
   }
-
-  // Per-scenario cost estimates (LPT scheduling key). With a bank, only
-  // the first scenario of each steady-tier key pays construction — later
-  // equal-keyed ones are costed as clone-and-reset so the scheduler
-  // doesn't overrate them.
-  std::vector<double> cost(results.size(), 0.0);
-  {
-    std::unordered_set<std::string> seen_steady;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const Scenario& s = results[i].scenario;
-      double setup_factor = 1.0;
-      if (bank != nullptr) {
-        const std::string key = scenario_steady_key(s);
-        if (!seen_steady.insert(key).second || bank->has_steady(key)) {
-          setup_factor = kPreparedScenarioSetupFactor;
-        }
-      }
-      cost[i] = estimated_scenario_cost(s, setup_factor);
-    }
-  }
+  const std::vector<double> cost = scenario_costs(results, bank.get());
 
   // Partition the sweep into jobs: with the bank on and batching
   // enabled, scenarios sharing a batch group key (pattern, dt, solver
@@ -404,103 +493,16 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   std::atomic<std::uint64_t> compaction_total{0};
   std::mutex report_mutex;
 
-  // The registry publication point: fold one finished session's
-  // bespoke counters (SolverStats, warm-start predictor outcomes, step
-  // counts) into the uniform obs namespace. Scenario completion, not
-  // the per-step loop, so the warm hot path stays untouched.
-  auto publish_session = [](const SimulationSession& s) {
-    if (!obs::metrics_enabled()) return;
-    static obs::Counter steps("sweep/steps");
-    static obs::Counter solves("solver/solves");
-    static obs::Counter iterations("solver/iterations");
-    static obs::Counter refactors("solver/refactors");
-    static obs::Counter partials("solver/partial_refactors");
-    static obs::Counter deferred("solver/deferred_updates");
-    static obs::Counter fcache("solver/factor_cache_hits");
-    static obs::Counter retries("solver/retries");
-    static obs::Counter pred("predictor/hits");
-    static obs::Counter traj("predictor/trajectory_hits");
-    static obs::Counter replay_cycles("replay/cycles");
-    static obs::Counter replay_steps("replay/steps_replayed");
-    static obs::Counter replay_skipped("replay/solves_skipped");
-    steps.add(static_cast<std::uint64_t>(s.steps_done()));
-    replay_cycles.add(s.replay_cycles());
-    replay_steps.add(s.replay_steps());
-    replay_skipped.add(s.replay_solves_skipped());
-    const sparse::SolverStats& st = s.solver_stats();
-    solves.add(st.solves);
-    iterations.add(st.iterations);
-    refactors.add(st.refactors);
-    partials.add(st.partial_refactors);
-    deferred.add(st.deferred_updates);
-    fcache.add(st.factor_cache_hits);
-    retries.add(st.retries);
-    const thermal::TransientSolver& t = s.thermal_solver();
-    pred.add(t.predictor_hits());
-    traj.add(t.trajectory_hits());
-  };
-
-  auto publish_result = [](const SweepResult& r) {
-    if (!obs::metrics_enabled()) return;
-    static obs::Counter scenarios("sweep/scenarios");
-    static obs::Counter failures("sweep/scenarios_failed");
-    static obs::HistogramMetric setup_s("sweep/setup_seconds");
-    static obs::HistogramMetric stepping_s("sweep/stepping_seconds");
-    static obs::HistogramMetric solve_s("sweep/solve_seconds");
-    static obs::HistogramMetric tail_s("sweep/tail_seconds");
-    scenarios.add();
-    if (!r.ok()) failures.add();
-    setup_s.record(r.setup_seconds);
-    stepping_s.record(r.stepping_seconds);
-    solve_s.record(r.solve_seconds);
-    tail_s.record(r.tail_seconds);
-  };
-
-  // Materialize (bank: compile), time the construction and the stepping
-  // separately, and run to the end. The owner keeps the session's
-  // referenced objects alive for its whole scope.
-  auto run_one = [&](SweepResult& r, auto owner,
-                     std::chrono::steady_clock::time_point t0) {
-    SimulationSession session = owner.session();
-    r.setup_seconds = seconds_since(t0);
-    const auto t1 = std::chrono::steady_clock::now();
-    session.run_to_end();
-    r.metrics = session.metrics();
-    r.stepping_seconds = seconds_since(t1);
-    r.solve_seconds = session.solve_seconds();
-    r.tail_seconds = session.tail_seconds();
-    r.replay_cycles = session.replay_cycles();
-    r.replay_steps = session.replay_steps();
-    r.replay_solves_skipped = session.replay_solves_skipped();
-    publish_session(session);
-  };
-
   auto deliver = [&](const SweepResult& r) {
-    publish_result(r);
     if (opts.on_result) {
       const std::lock_guard<std::mutex> lock(report_mutex);
       opts.on_result(r);
     }
   };
-
-  // One scenario on the scalar path (bank or from-scratch).
-  auto run_scalar = [&](SweepResult& r, int worker_id) {
-    obs::TraceSpan job_span("sweep/job");
-    r.worker = worker_id;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      if (bank != nullptr) {
-        run_one(r, bank->prepare(r.scenario), t0);
-      } else {
-        run_one(r, instantiate(r.scenario), t0);
-      }
-    } catch (const std::exception& e) {
-      r.error = e.what();
-    } catch (...) {
-      r.error = "unknown error";
-    }
-    r.wall_seconds = r.ok() ? r.setup_seconds + r.stepping_seconds
-                            : seconds_since(t0);
+  // Batched lanes publish their result here; scalar jobs publish inside
+  // run_scenario_job.
+  auto deliver_lane = [&](const SweepResult& r) {
+    publish_result(r);
     deliver(r);
   };
 
@@ -528,7 +530,7 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
       }
       if (!r.ok()) {
         r.wall_seconds = seconds_since(t0);
-        deliver(r);
+        deliver_lane(r);
       }
     }
     if (lane_slots.empty()) return;
@@ -573,7 +575,7 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
         } else {
           r.error = batch.lane_error(l);
         }
-        deliver(r);
+        deliver_lane(r);
       }
     } catch (const std::exception& e) {
       // Lane-level failures are isolated inside BatchSession; reaching
@@ -583,7 +585,7 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
         SweepResult& r = results[slot];
         r.error = e.what();
         r.wall_seconds = r.setup_seconds + seconds_since(t1);
-        deliver(r);
+        deliver_lane(r);
       }
     }
   };
@@ -594,7 +596,10 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
       if (slot >= order.size()) return;
       SweepJob& job = sweep_jobs[order[slot]];
       if (job.slots.size() == 1) {
-        run_scalar(results[job.slots.front()], worker_id);
+        SweepResult& r = results[job.slots.front()];
+        r.worker = worker_id;
+        run_scenario_job(r, bank.get());
+        deliver(r);
       } else {
         run_batch(job, worker_id);
       }

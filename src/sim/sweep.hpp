@@ -13,6 +13,11 @@
 /// stays bitwise-deterministic: for identical seeds the results are
 /// identical whether it runs on one worker or many, bank on or off.
 /// Results are returned in input order regardless of completion order.
+///
+/// A scalar scenario runs through run_scenario_job(), the one
+/// per-scenario job function that the sweep service (service/service.hpp)
+/// runs too; both publish the same sweep/*, solver/*, predictor/* and
+/// replay/* registry counters (obs/metrics.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -41,22 +46,6 @@ class ScenarioBank;
 /// SweepReport::job_utilization() makes that visible (every worker ~1.0
 /// busy yet no speedup).
 int resolve_jobs(int requested);
-
-/// Rough relative cost of a scenario for longest-processing-time-first
-/// scheduling: thermal cells x control steps, weighted up for policies
-/// that modulate the coolant flow, plus a construction term for the
-/// leakage-consistent steady init. \p prepared_setup_factor discounts
-/// that term (see kPreparedScenarioSetupFactor) for scenarios whose
-/// steady-tier key a ScenarioBank already holds. Only the ordering
-/// matters, not the absolute scale. Shared by run_sweep's LPT dispatch
-/// and the sweep service's per-job task ordering (service/service.hpp).
-double estimated_scenario_cost(const Scenario& s,
-                               double prepared_setup_factor = 1.0);
-
-/// Setup-term discount of estimated_scenario_cost for scenarios that
-/// will hit a bank's steady tier (clone-and-reset instead of a
-/// fixed-point solve).
-inline constexpr double kPreparedScenarioSetupFactor = 0.05;
 
 /// Outcome of one scenario of a sweep.
 struct SweepResult {
@@ -94,6 +83,32 @@ struct SweepResult {
   bool ok() const { return error.empty(); }
   const std::string& label() const { return scenario.label; }
 };
+
+/// Input-order result slots of a sweep or service job: slot i holds
+/// index i and scenario i with its label resolved (scenario_label()
+/// when empty) and \p cache as its structure cache unless it carries
+/// its own.
+std::vector<SweepResult> sweep_slots(
+    std::vector<Scenario> scenarios,
+    const std::shared_ptr<sparse::StructureCache>& cache);
+
+/// Relative cost of each slot for longest-processing-time-first
+/// scheduling (only the ordering matters): thermal cells x control
+/// steps, weighted up for flow-modulating policies, plus the steady
+/// init's construction term. With a bank, that term is discounted for a
+/// scenario whose steady-tier key an earlier slot shares or \p bank
+/// already holds (clone-and-reset instead of a fixed-point solve).
+std::vector<double> scenario_costs(const std::vector<SweepResult>& slots,
+                                   const ScenarioBank* bank);
+
+/// Run one scenario on the scalar path: compile it through \p bank (or
+/// instantiate() it when \p bank is null), run its session to the end
+/// and fill \p r's metrics, setup/stepping/solve/tail/wall times and
+/// replay counters. Publishes the sweep/*, solver/*, predictor/* and
+/// replay/* registry counters and catches any exception into r.error.
+/// run_sweep's scalar jobs and the sweep service's workers both run
+/// scenarios through it.
+void run_scenario_job(SweepResult& r, ScenarioBank* bank);
 
 /// Options of run_sweep().
 struct SweepOptions {

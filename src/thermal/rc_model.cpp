@@ -439,13 +439,28 @@ std::vector<double> RcModel::steady_state(sparse::SolverKind kind,
   return steady_state(*make_steady_solver(kind, cache));
 }
 
+void RcModel::require_heat_path() const {
+  // Heat leaves the stack only through the sink or the coolant outlets;
+  // with neither, G has no ground and the steady system is singular.
+  if (grid_.has_sink()) return;
+  for (const double q : cavity_flow_) {
+    if (q > 0.0) return;
+  }
+  throw InvalidArgument(
+      "RcModel::steady_state: zero cavity flow in every cavity and no "
+      "heat sink, so no heat path to ambient (singular conductance "
+      "matrix); set a cavity flow first");
+}
+
 std::unique_ptr<sparse::LinearSolver> RcModel::make_steady_solver(
     sparse::SolverKind kind, sparse::StructureCache* cache) const {
+  require_heat_path();
   return sparse::make_solver(kind, g_,
                              cache != nullptr ? cache->get(g_) : nullptr);
 }
 
 std::vector<double> RcModel::steady_state(sparse::LinearSolver& solver) const {
+  require_heat_path();
   std::vector<double> b(power_rhs_.size());
   rhs_into(b);
   std::vector<double> x(b.size(),

@@ -162,6 +162,8 @@ class RcModel {
 
   // --- solves ----------------------------------------------------------
   /// Steady-state temperatures [K] for the current power and flows.
+  /// Throws InvalidArgument when the stack has no heat sink and every
+  /// cavity's flow is zero (no heat path to ambient, singular G).
   /// A non-null \p cache shares the symbolic solver analysis across
   /// models with the same grid pattern (see sparse::StructureCache).
   std::vector<double> steady_state(
@@ -210,6 +212,9 @@ class RcModel {
   /// current flow and column profile — a straight indexed pass over
   /// advection_entries(cavity), no re-assembly, no allocation.
   void apply_cavity_flow(int cavity);
+  /// Throw InvalidArgument when no heat path to ambient exists (no
+  /// sink and zero flow in every cavity): G is then singular.
+  void require_heat_path() const;
   /// Grid layer index of a cavity with the given id.
   int cavity_grid_layer(int cavity) const;
 

@@ -59,7 +59,9 @@ TEST(FailureInjection, PumpStuckAtMinimumViolatesThresholdVisibly) {
       power::generate_workload(power::WorkloadKind::kMaxUtil, 32, 40, 1);
   sim::SimulationConfig cfg;
   cfg.pump = pump;
-  const auto m = sim::simulate(soc, trace, policy, cfg);
+  sim::SimulationSession session(soc, trace, policy, cfg);
+  session.run_to_end();
+  const auto m = session.metrics();
 
   // The failure is *visible*: hot spots accumulate in the metrics.
   EXPECT_GT(kelvin_to_celsius(m.peak_temp), 85.0);

@@ -2,15 +2,18 @@
 // one server over loopback get results bitwise identical to a direct
 // run_sweep of the same scenarios, the shared warm bank serves every
 // repeat submission from its cached tiers, acks always precede the
-// job's streamed results, and admission respects the core budget.
+// job's streamed results, admission respects the core budget, and a
+// service job publishes the same registry counters as run_sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 #include "sim/bank.hpp"
@@ -181,6 +184,62 @@ TEST(ServiceConcurrency, ResultsStreamBeforeSweepCompletes) {
   EXPECT_EQ(out.complete.completed, 3u);
 
   server.stop();
+}
+
+TEST(ServiceConcurrency, ServiceJobsPublishTheSweepRegistryCounters) {
+  // The service runs every scenario through the sweep's job function, so
+  // one job over a fresh bank moves the solver, predictor and sweep
+  // counters exactly as a serial, unbatched run_sweep of the same
+  // scenarios over its own fresh bank does.
+  obs::set_metrics_enabled(true);
+  const std::vector<sim::Scenario> scenarios = paper_matrix();
+  const std::vector<std::string> names = {
+      "solver/solves",  "solver/iterations", "solver/refactors",
+      "predictor/hits", "sweep/steps",       "sweep/scenarios"};
+  const auto counters_since = [&](const obs::Snapshot& before) {
+    const obs::Snapshot delta = obs::snapshot().since(before);
+    std::map<std::string, std::uint64_t> out;
+    for (const std::string& name : names) {
+      const auto it = delta.counters.find(name);
+      out[name] = it == delta.counters.end() ? 0 : it->second;
+    }
+    return out;
+  };
+
+  obs::Snapshot before = obs::snapshot();
+  sim::SweepOptions sweep_opts;
+  sweep_opts.jobs = 1;
+  sweep_opts.batch_width = 1;
+  ASSERT_TRUE(sim::run_sweep(scenarios, sweep_opts).all_ok());
+  const auto swept = counters_since(before);
+
+  std::vector<sim::SweepResult> results;
+  before = obs::snapshot();
+  {
+    ServiceOptions opts;
+    opts.core_budget = 1;
+    SweepService service(opts);
+    ASSERT_TRUE(service.submit(scenarios, 1, [&](const JobEvent& ev) {
+      if (ev.kind == JobEvent::Kind::kResult) results.push_back(ev.result);
+    }));
+    service.drain();
+  }
+  const auto served = counters_since(before);
+
+  EXPECT_EQ(swept.at("sweep/scenarios"), scenarios.size());
+  EXPECT_GT(swept.at("solver/solves"), 0u);
+  for (const std::string& name : names) {
+    EXPECT_EQ(served.at(name), swept.at(name)) << name;
+  }
+
+  ASSERT_EQ(results.size(), scenarios.size());
+  for (const sim::SweepResult& r : results) {
+    SCOPED_TRACE(r.label());
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_GT(r.setup_seconds, 0.0);
+    EXPECT_GT(r.stepping_seconds, 0.0);
+    EXPECT_LE(r.solve_seconds + r.tail_seconds, r.stepping_seconds);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests of the scenario subsystem: SimulationSession stepping vs the
-// one-shot simulate() wrapper, ScenarioMatrix cartesian expansion
+// one-shot run_scenario(), ScenarioMatrix cartesian expansion
 // (including the paper's seven Fig. 6/7 configurations), and the
 // parallel sweep runner (determinism serial vs parallel, TAC3D_JOBS,
 // error capture, report sorting).
@@ -47,12 +47,10 @@ void expect_same_metrics(const SimMetrics& a, const SimMetrics& b,
 
 // --- SimulationSession ---------------------------------------------------
 
-TEST(SimulationSession, StepwiseRunMatchesSimulateWrapper) {
+TEST(SimulationSession, StepwiseRunMatchesOneShotRun) {
   const Scenario spec = quick_scenario();
 
-  ScenarioInstance one_shot = instantiate(spec);
-  const SimMetrics reference = simulate(*one_shot.soc, *one_shot.trace,
-                                        *one_shot.policy, one_shot.sim);
+  const SimMetrics reference = run_scenario(spec);
 
   ScenarioInstance stepped = instantiate(spec);
   SimulationSession session = stepped.session();
@@ -62,7 +60,7 @@ TEST(SimulationSession, StepwiseRunMatchesSimulateWrapper) {
   session.run_until(10.0);
   session.run_to_end();
 
-  expect_same_metrics(reference, session.metrics(), "stepwise vs simulate");
+  expect_same_metrics(reference, session.metrics(), "stepwise vs one-shot");
 }
 
 TEST(SimulationSession, ExposesMidRunState) {

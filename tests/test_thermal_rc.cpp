@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <sstream>
 
+#include "arch/mpsoc.hpp"
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "microchannel/coolant.hpp"
@@ -223,6 +225,36 @@ TEST(RcModel, MatrixIsDiagonallyDominant) {
   RcModel model(cavity_spec(), GridOptions{12, 8});
   model.set_all_flows(ml_per_min(20.0));
   EXPECT_TRUE(model.conductance().is_diagonally_dominant(1e-9));
+}
+
+TEST(RcModel, ZeroCavityFlowSteadyStateIsATypedError) {
+  // A liquid-cooled stack has no heat sink: before any flow is set, heat
+  // has no path to ambient and G is singular. Both steady entry points
+  // must say so instead of returning garbage or a generic solver error.
+  arch::Mpsoc3D soc(arch::Mpsoc3D::Options{
+      2, arch::CoolingKind::kLiquidCooled, GridOptions{12, 12},
+      arch::NiagaraConfig::paper()});
+  const auto expect_zero_flow_error = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "no exception for zero cavity flow";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("zero cavity flow"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_zero_flow_error(
+      [&] { soc.model().steady_state(sparse::SolverKind::kBandedLu); });
+  const std::vector<arch::CoreState> cores(
+      static_cast<std::size_t>(soc.n_cores()), arch::CoreState{0.5, 0});
+  expect_zero_flow_error([&] { soc.leakage_consistent_steady(cores); });
+
+  // One cavity flowing is a heat path: the solve goes through.
+  soc.model().set_cavity_flow(0, ml_per_min(20.0));
+  const std::vector<double> t = soc.leakage_consistent_steady(cores);
+  EXPECT_GT(soc.model().max_temperature(t), celsius_to_kelvin(27.0));
+  EXPECT_LT(soc.model().max_temperature(t), celsius_to_kelvin(200.0));
 }
 
 TEST(Floorplan, ParseRoundTrip) {
